@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument(
         "--normalize", action="store_true",
         help="normalize each record by the run's anchor record "
-        "(marshal-pickle / batch-off-c1 / threaded-c64 / shard-flat-c256 "
+        "(marshal-pickle / batch-on-c1 / threaded-c64 / shard-flat-c256 "
         "/ epoch-poll-c1) before comparing — absorbs machine-speed "
         "differences in CI",
     )
@@ -364,6 +364,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.benchreport import (
+        NORMALIZE_ANCHORS,
         compare_cpu_reports,
         compare_reports,
         format_table,
@@ -379,13 +380,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     # Load baselines up front: when --output and --check name the same
     # file, writing first would silently compare the run to itself.
-    runs = []  # (suite, records, extra, output, baseline, anchor)
+    runs = []  # (suite, records, extra, output, baseline)
     if args.suite in ("all", "hotpath"):
         baseline = None if args.check is None else load_report(args.check)
         records = run_hotpath_suite(scale=args.scale)
         runs.append(
-            ("rmi_hotpath", records, None, args.output, baseline,
-             "marshal-pickle")
+            ("rmi_hotpath", records, None, args.output, baseline)
         )
     if args.suite in ("all", "batching"):
         baseline = (
@@ -395,8 +395,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         extra: dict = {}
         records = run_batching_suite(scale=args.scale, extra_out=extra)
         runs.append(
-            ("rmi_batching", records, extra, args.batching_output, baseline,
-             "batch-off-c1")
+            ("rmi_batching", records, extra, args.batching_output, baseline)
         )
     if args.suite in ("all", "async"):
         baseline = (
@@ -406,8 +405,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         extra = {}
         records = run_async_suite(scale=args.scale, extra_out=extra)
         runs.append(
-            ("rmi_async", records, extra, args.async_output, baseline,
-             "threaded-c64")
+            ("rmi_async", records, extra, args.async_output, baseline)
         )
     if args.suite in ("all", "shard"):
         baseline = (
@@ -417,8 +415,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         extra = {}
         records = run_shard_suite(scale=args.scale, extra_out=extra)
         runs.append(
-            ("rmi_shard", records, extra, args.shard_output, baseline,
-             "shard-flat-c256")
+            ("rmi_shard", records, extra, args.shard_output, baseline)
         )
     if args.suite in ("all", "store"):
         baseline = (
@@ -428,8 +425,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         extra = {}
         records = run_store_suite(scale=args.scale, extra_out=extra)
         runs.append(
-            ("rmi_store", records, extra, args.store_output, baseline,
-             "epoch-poll-c1")
+            ("rmi_store", records, extra, args.store_output, baseline)
         )
     if args.suite in ("all", "cpu"):
         baseline = (
@@ -438,18 +434,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         extra = {}
         records = run_cpu_suite(scale=args.scale, extra_out=extra)
-        # anchor=None marks the family-normalized cpu comparison below.
         runs.append(
-            ("rmi_cpu", records, extra, args.cpu_output, baseline, None)
+            ("rmi_cpu", records, extra, args.cpu_output, baseline)
         )
 
     status = 0
-    for suite, records, extra, output, baseline, anchor in runs:
+    for suite, records, extra, output, baseline in runs:
         write_report(output, suite, records, extra=extra)
         print(format_table(records))
         print(f"wrote {output}")
         if baseline is None:
             continue
+        anchor = NORMALIZE_ANCHORS.get(suite)
         if anchor is None:
             # The cpu suite's thread-vs-process ratios depend on the
             # machine's core count, so its gate always normalizes

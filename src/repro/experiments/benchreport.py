@@ -21,8 +21,9 @@ The suite measures calls/sec and p50/p99 latency for:
 
 Two further suites share the harness and schema:
 :func:`run_batching_suite` (batched vs unbatched pipelining, anchored
-on ``batch-off-c1``) and :func:`run_async_suite` (asyncio vs threaded
-transport at c64–c4096 in-flight calls, anchored on ``threaded-c64``).
+on ``batch-on-c1``) and :func:`run_async_suite` (asyncio vs threaded
+transport at c64–c4096 in-flight calls, anchored on ``threaded-c64``);
+:data:`NORMALIZE_ANCHORS` lists every suite's anchor.
 
 Run them via ``python -m repro bench`` or through
 ``benchmarks/test_rmi_hotpath.py``; ``--scale`` (or the
@@ -1699,6 +1700,21 @@ def _record_throughputs(
     return {r.name: r.calls_per_sec for r in report_or_records}
 
 
+# The record each normalized gate divides by, per suite.  An anchor
+# stands in for machine speed, so it must not sit on a path the suite
+# exists to speed up: a faster anchor reads as a regression of every
+# other record.  Batching anchors on a batched leg, not on the unbatched
+# ``invoke_async`` window, so the unbatched and sync legs stay gated
+# against the batcher.
+NORMALIZE_ANCHORS = {
+    "rmi_hotpath": "marshal-pickle",
+    "rmi_batching": "batch-on-c1",
+    "rmi_async": "threaded-c64",
+    "rmi_shard": "shard-flat-c256",
+    "rmi_store": "epoch-poll-c1",
+}
+
+
 def compare_reports(
     baseline: dict[str, Any] | list[BenchRecord],
     current: dict[str, Any] | list[BenchRecord],
@@ -1709,9 +1725,8 @@ def compare_reports(
     """Flag records whose throughput dropped more than ``tolerance``.
 
     With ``normalize`` each record is divided by its own run's
-    ``anchor`` record throughput first (``marshal-pickle`` for the
-    hot-path suite, ``batch-off-c1`` for the batching suite), so the
-    comparison is in units of "times the anchor" — absorbing absolute
+    ``anchor`` record throughput first (see :data:`NORMALIZE_ANCHORS`),
+    so the comparison is in units of "times the anchor" — absorbing absolute
     machine-speed differences between the committed baseline and the CI
     runner while still catching *relative* regressions.  The trade-off:
     a slowdown that hits every record equally (including the anchor
