@@ -39,7 +39,7 @@ from repro.errors import (
 from repro.faults.policy import RetryPolicy, should_discard_member
 from repro.rmi.batching import RequestBatcher, batch_max_from_env
 from repro.rmi.fastpath import marshal_call, unmarshal_result
-from repro.rmi.future import RmiFuture, async_executor, run_async
+from repro.rmi.future import RmiFuture, async_executor
 from repro.rmi.remote import RemoteRef, Stub
 from repro.rmi.transport import Request, Response, Transport
 from repro.routing import ShardRouter
@@ -115,10 +115,10 @@ class ElasticStub:
         self._batcher = (
             batcher if batcher is not None and batcher.enabled else None
         )
-        # Asynchronous transports complete via loop callbacks: the happy
-        # path never parks a thread, only retry/redirect recovery does
-        # (offloaded to the shared async pool, off the event loop).
-        self._loop_native = bool(getattr(transport, "asynchronous", False))
+        # Concurrent transports complete async calls from their own
+        # threads via ``submit``: the happy path never parks a thread,
+        # only retry/redirect recovery does (on the shared async pool).
+        self._submit = getattr(transport, "submit", None)
         self._epoch = -1  # epoch the cached members belong to
         self._members: list[RemoteRef] = []
         self._rr = itertools.count()
@@ -250,24 +250,23 @@ class ElasticStub:
           the batch fills, the stub flushes, or the future is awaited.
           The caller's thread never parks at submission, which is what
           lets a window of async calls share wire messages.
-        - **concurrent transport, no batcher** — the invocation body
-          runs on the shared async pool.
+        - **transport with ``submit``, no batcher** (threaded, asyncio)
+          — the first attempt goes straight to the transport and the
+          future completes from its completion callback, so no thread
+          parks while the call flies.
         - **deterministic, no batcher** — runs eagerly in the caller
           thread; an already-completed future is returned.
+
+        Never raises: a failure before the first send (marshalling, a
+        sentinel not yet bound) fails the returned future instead.
         """
-        payload = marshal_call(args, kwargs)
-        if self._batcher is not None:
-            return self._invoke_deferred(method, payload)
-        if self._loop_native:
-            return self._invoke_loop_native(method, payload)
-        if getattr(self._transport, "concurrent", False):
-            return run_async(
-                lambda: self._invoke_with_payload(method, payload)
-            )
         try:
-            return RmiFuture.completed(
-                self._invoke_with_payload(method, payload)
-            )
+            payload = marshal_call(args, kwargs)
+            if self._batcher is None and self._submit is None:
+                return RmiFuture.completed(
+                    self._invoke_with_payload(method, payload)
+                )
+            return self._start_call(method, payload)
         except Exception as exc:
             return RmiFuture.failed(exc)
 
@@ -456,18 +455,25 @@ class ElasticStub:
             self._members = [m for m in self._members if m != ref]
             self._discarded.add(ref)
 
-    # -- deferred (pipelined) invocation -----------------------------------
+    # -- completion-driven invocation -------------------------------------
 
-    def _invoke_deferred(self, method: str, payload: Any) -> RmiFuture:
-        """Queue one invocation for pipelined dispatch.
+    def _start_call(self, method: str, payload: Any) -> RmiFuture:
+        """Send one logical call's first attempt without waiting for it.
 
-        The entry targets the balancing choice made *now*; the batched
-        send is the logical call's first attempt and is charged to its
-        retry state, so if the batch fails — dropped wire message, the
-        target drained mid-flight — the call falls back into the normal
-        retry loop with that attempt already spent: exactly the policy's
-        budget, independently per logical call.
+        The attempt targets the balancing choice made *now* — queued in
+        the batcher when one is attached, else submitted straight to the
+        transport — and is charged to the call's retry state, so if it
+        fails (dropped message, dead or draining target, timeout) the
+        call falls back into the normal retry loop with that attempt
+        already spent: exactly the policy's budget, independently per
+        logical call.
         """
+        transport = self._transport
+        # On a concurrent transport completions arrive on a thread that
+        # must not block (event loop, dispatch worker, deadline
+        # watchdog, batch sender); recovery re-enters the blocking retry
+        # loop, so the shared async pool carries it.
+        offload = getattr(transport, "concurrent", False)
         state = self._retry_policy.start(
             clock=self._clock, rng=self._rng, sleep=self._sleep
         )
@@ -475,14 +481,16 @@ class ElasticStub:
         try:
             targets = self._targets()
         except (ConnectError, MemberDrainedError, RemoteError):
-            # Bootstrap failure: the sync loop owns round/refresh
-            # semantics; run it eagerly.
-            try:
-                return RmiFuture.completed(
-                    self._invoke_with_payload(method, payload, state, started)
-                )
-            except Exception as exc:
-                return RmiFuture.failed(exc)
+            # Bootstrap failure: the retry loop owns round/refresh
+            # semantics.
+            future = RmiFuture()
+            job = (future, self._invoke_with_payload, method, payload,
+                   state, started)
+            if offload:
+                async_executor().submit(_settle, *job)
+            else:
+                _settle(*job)
+            return future
         ref = targets[0]
         request = Request(
             object_id=ref.object_id,
@@ -492,41 +500,35 @@ class ElasticStub:
         )
         state.note_attempt()
 
-        def finish(
-            future: RmiFuture,
-            response: Response | None,
-            error: BaseException | None,
-        ) -> None:
-            try:
-                value = self._finish_deferred(
-                    ref, method, payload, state, started, response, error
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
-
         def complete(
             future: RmiFuture,
             response: Response | None,
             error: BaseException | None,
         ) -> None:
-            terminal = (
-                error is None
-                and response is not None
-                and response.kind in ("result", "error")
-            )
-            if self._loop_native and not terminal:
-                # Recovery re-enters the blocking retry loop; under the
-                # loop drain discipline this completer runs on the event
-                # loop, so the shared async pool carries it.
-                async_executor().submit(finish, future, response, error)
-                return
-            finish(future, response, error)
+            # A result or an application error is terminal: settle it
+            # in place.  Anything else is recovery.
+            job = (future, self._finish_first_attempt, ref, method,
+                   payload, state, started, response, error)
+            if offload and (
+                error is not None or response.kind not in ("result", "error")
+            ):
+                async_executor().submit(_settle, *job)
+            else:
+                _settle(*job)
 
-        return self._batcher.submit(ref.endpoint_id, request, complete)
+        if self._batcher is not None:
+            return self._batcher.submit(ref.endpoint_id, request, complete)
+        future = RmiFuture()
+        guard = getattr(transport, "wait_guard", None)
+        if guard is not None:
+            future.bind_wait_guard(guard)
+        self._submit(
+            ref.endpoint_id, request,
+            lambda response, error: complete(future, response, error),
+        )
+        return future
 
-    def _finish_deferred(
+    def _finish_first_attempt(
         self,
         ref: RemoteRef,
         method: str,
@@ -536,8 +538,8 @@ class ElasticStub:
         response: Response | None,
         error: BaseException | None,
     ) -> Any:
-        """Interpret a deferred entry's outcome; runs in the sender
-        thread (deterministic transports: the waiter itself)."""
+        """Interpret the first attempt's outcome (:meth:`_invoke_one`
+        decodes the response) and recover from it if it failed."""
         try:
             if error is not None:
                 raise error
@@ -546,8 +548,8 @@ class ElasticStub:
             self._note_call(method, state, started, "app-error")
             raise
         except (ConnectError, MemberDrainedError, RemoteError) as exc:
-            # The batched first attempt failed (whole-batch drop, dead
-            # endpoint, drained or unresolved entry): re-enter the sync
+            # The first attempt failed (whole-batch drop, dead endpoint,
+            # drained or unresolved entry, timeout): re-enter the sync
             # retry loop with the attempt already charged.
             if should_discard_member(exc):
                 self._discard(ref)
@@ -556,79 +558,15 @@ class ElasticStub:
         self._note_call(method, state, started, "ok")
         return result
 
-    # -- loop-native invocation (asynchronous transports) ------------------
 
-    def _invoke_loop_native(self, method: str, payload: Any) -> RmiFuture:
-        """One invocation with no thread parked while it flies.
-
-        The request goes straight to the asyncio transport; the future
-        completes from the transport's callback on the event loop.  The
-        happy path — the chosen member answers ``result`` — unmarshals
-        and completes inline (CPU-light, loop-safe).  *Every* other
-        outcome (application error, redirect, drained, delivery
-        failure) re-enters :meth:`_finish_deferred` on the shared async
-        pool with the first attempt already charged, so recovery
-        semantics are byte-for-byte those of the threaded path and the
-        loop never blocks.
-        """
-        transport = self._transport
-        state = self._retry_policy.start(
-            clock=self._clock, rng=self._rng, sleep=self._sleep
-        )
-        started = None if self._clock is None else self._clock.now()
-        try:
-            targets = self._targets()
-        except (ConnectError, MemberDrainedError, RemoteError):
-            # Bootstrap failure: the sync loop owns round/refresh
-            # semantics; run it on the pool.
-            return run_async(
-                lambda: self._invoke_with_payload(
-                    method, payload, state, started
-                )
-            )
-        ref = targets[0]
-        request = Request(
-            object_id=ref.object_id,
-            method=method,
-            payload=payload,
-            caller=self._caller,
-        )
-        state.note_attempt()
-        future = RmiFuture()
-        future.bind_wait_guard(transport.wait_guard)
-
-        def finish(
-            response: Response | None, error: BaseException | None
-        ) -> None:
-            try:
-                value = self._finish_deferred(
-                    ref, method, payload, state, started, response, error
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
-
-        def on_done(
-            response: Response | None, error: BaseException | None
-        ) -> None:  # runs on the event loop; must not block
-            if (
-                error is None
-                and response is not None
-                and response.kind == "result"
-            ):
-                try:
-                    value = unmarshal_result(response.payload)
-                except BaseException as exc:  # noqa: BLE001 - to waiter
-                    future.set_exception(exc)
-                    return
-                self._note_call(method, state, started, "ok")
-                future.set_result(value)
-                return
-            async_executor().submit(finish, response, error)
-
-        transport.submit(ref.endpoint_id, request, on_done)
-        return future
+def _settle(future: RmiFuture, fn: Callable[..., Any], *args: Any) -> None:
+    """Complete ``future`` with ``fn(*args)``'s value or exception."""
+    try:
+        value = fn(*args)
+    except BaseException as exc:  # noqa: BLE001 - relayed to waiter
+        future.set_exception(exc)
+    else:
+        future.set_result(value)
 
 
 class ShardedElasticStub:

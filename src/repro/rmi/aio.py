@@ -52,17 +52,13 @@ from repro.rmi.envcfg import env_int
 from repro.rmi.transport import (
     BatchRequest,
     BatchResponse,
+    DoneCallback,
     Endpoint,
     Request,
     Response,
     _TransportBase,
     batch_envelope,
 )
-
-# Callback invoked on the loop when one submitted call (or batch)
-# completes: exactly one of (result, error) is non-None.  It must not
-# block — anything that would park the loop thread belongs on a pool.
-DoneCallback = Callable[[Any, "BaseException | None"], None]
 
 DEFAULT_INFLIGHT_WINDOW = 16_384
 DEFAULT_OFFLOAD_WORKERS = 8

@@ -9,15 +9,20 @@ machine, just pending → done with either a value or an exception.
 
 Two execution styles feed an RmiFuture:
 
-- **threaded** — live runtimes complete the future from whatever thread
-  carried the invocation (an async-invoker worker or a batch sender);
+- **completion-driven** — live runtimes complete the future from the
+  thread that delivers the outcome: on the threaded transport the
+  endpoint's dispatch worker (or the deadline watchdog, for a call that
+  timed out), on the asyncio transport the event loop, with batching a
+  batch sender.  Done-callbacks run there, so they must not block; only
+  recovery from a failed attempt (retry, redirect) moves to the shared
+  async pool;
 - **deferred** — deterministic runtimes queue the invocation in the
   request batcher and complete the future *when someone waits on it*
   (or the batch fills, or the stub is flushed).  The wait hook installed
   via :meth:`bind_wait_hook` is what lets :meth:`result` force the flush
   instead of deadlocking on a call that was never sent.
 
-A shared :func:`async_executor` carries ``invoke_async`` bodies in live
+A shared :func:`async_executor` carries that blocking recovery in live
 mode.  It is created lazily, sized for stub fan-out rather than CPU
 count, and shared process-wide so a thousand stubs do not spawn a
 thousand pools.
@@ -214,10 +219,12 @@ ASYNC_WORKERS = 32
 
 
 def async_executor() -> ThreadPoolExecutor:
-    """The process-wide pool that runs ``invoke_async`` bodies live.
+    """The process-wide pool that runs blocking ``invoke_async`` work.
 
-    Sized for I/O-shaped work (invocations spend their life blocked on
-    the transport), created on first use, shared by every stub.
+    That is recovery — a retry or redirect after a failed first attempt
+    — and bootstrap retries.  Sized for I/O-shaped work (it spends its
+    life blocked on the transport), created on first use, shared by
+    every stub.
     """
     global _executor
     if _executor is None:
@@ -228,19 +235,3 @@ def async_executor() -> ThreadPoolExecutor:
                     thread_name_prefix="ermi-async",
                 )
     return _executor
-
-
-def run_async(fn: Callable[[], Any]) -> RmiFuture:
-    """Run ``fn`` on the shared pool, bridging into an RmiFuture."""
-    future = RmiFuture()
-
-    def body() -> None:
-        try:
-            result = fn()
-        except BaseException as exc:  # noqa: BLE001 - relayed, not hidden
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-
-    async_executor().submit(body)
-    return future

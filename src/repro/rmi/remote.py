@@ -41,7 +41,7 @@ from repro.rmi.fastpath import (
     unmarshal_call,
     unmarshal_result,
 )
-from repro.rmi.future import RmiFuture, async_executor, run_async
+from repro.rmi.future import RmiFuture, async_executor
 from repro.rmi.transport import Request, Response, Transport
 from repro.sim.clock import Clock, WallClock
 
@@ -464,9 +464,13 @@ class Stub:
         # sends route through it and may coalesce with concurrent calls
         # to the same endpoint.  None keeps the path identical to seed.
         self._batcher = batcher
-        # Asynchronous transports complete via loop callbacks — an
-        # in-flight call costs a task, not a parked thread.
-        self._loop_native = bool(getattr(transport, "asynchronous", False))
+        # Concurrent transports complete async calls from their own
+        # threads via ``submit`` — an in-flight call parks no thread.
+        self._submit = getattr(transport, "submit", None)
+        # On a concurrent transport batch completions run on a thread
+        # that must never block on a redirect hop (event loop, batch
+        # sender); the same rule as ElasticStub's recovery offload.
+        self._offload = bool(getattr(transport, "concurrent", False))
 
     @property
     def ref(self) -> RemoteRef:
@@ -492,78 +496,96 @@ class Stub:
         *pipelined*: it joins the batch queue without parking this
         thread and flies when the queue fills or the caller gathers —
         so a window of async calls (and any concurrent callers' calls)
-        shares wire messages.  Otherwise, on a concurrent transport the
-        invocation runs on the shared async pool; on a deterministic
-        transport it runs eagerly in the caller thread and an
-        already-completed future is returned.
+        shares wire messages.  Otherwise, on a transport with
+        ``submit`` (threaded, asyncio) the future completes from the
+        transport's completion callback; on a deterministic transport
+        the call runs eagerly in the caller thread and an
+        already-completed future is returned.  Never raises: failures
+        fail the returned future.
         """
-        batcher = self._batcher
-        if batcher is not None and batcher.enabled:
-            return self._invoke_deferred(method, args, kwargs)
-        if self._loop_native:
-            return self._invoke_loop(method, args, kwargs)
-        if getattr(self._transport, "concurrent", False):
-            return run_async(lambda: self._invoke(method, args, kwargs))
         try:
+            batcher = self._batcher
+            if batcher is not None and batcher.enabled:
+                return self._invoke_deferred(method, args, kwargs)
+            if self._submit is not None:
+                return self._invoke_submitted(method, args, kwargs)
             return RmiFuture.completed(self._invoke(method, args, kwargs))
         except Exception as exc:
             return RmiFuture.failed(exc)
 
-    def _invoke_loop(self, method: str, args: tuple, kwargs: dict) -> RmiFuture:
-        """Loop-native invocation: no thread parks while in flight.
+    def _invoke_submitted(
+        self, method: str, args: tuple, kwargs: dict
+    ) -> RmiFuture:
+        """Completion-driven invocation: no thread parks while in flight.
 
-        The request is submitted straight to the asyncio transport; the
-        future completes from the transport's completion callback on the
-        event loop.  Redirects re-submit from the callback (still
-        non-blocking, still bounded), so a 10k-call window costs 10k
-        tasks and zero waiting threads.
+        The request is submitted straight to the transport; the future
+        completes from its completion callback (on the event loop or the
+        endpoint's dispatch worker).  Redirects re-submit from the
+        callback (still non-blocking, still bounded), so a 10k-call
+        window costs 10k queued calls and zero waiting threads.
         """
-        transport = self._transport
         payload = marshal_call(args, kwargs)
         future = RmiFuture()
-        future.bind_wait_guard(transport.wait_guard)
-        hops = {"n": 0}
-
-        def send(ref: RemoteRef) -> None:
-            request = Request(
-                object_id=ref.object_id,
-                method=method,
-                payload=payload,
-                caller=self._caller,
-            )
-            transport.submit(
-                ref.endpoint_id,
-                request,
-                lambda response, error, ref=ref: on_done(ref, response, error),
-            )
-
-        def on_done(
-            ref: RemoteRef,
-            response: Response | None,
-            error: BaseException | None,
-        ) -> None:  # runs on the event loop; must not block
-            if error is not None:
-                future.set_exception(error)
-                return
-            if response.kind == "redirect":
-                hops["n"] += 1
-                if hops["n"] > self._MAX_REDIRECTS:
-                    future.set_exception(ApplicationError(
-                        f"redirect loop invoking {method!r} "
-                        f"(> {self._MAX_REDIRECTS} hops)"
-                    ))
-                    return
-                send(response.value)
-                return
-            try:
-                future.set_result(
-                    self._interpret_terminal(method, ref, response)
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-
-        send(self._ref)
+        guard = getattr(self._transport, "wait_guard", None)
+        if guard is not None:
+            future.bind_wait_guard(guard)
+        self._send_submitted(self._ref, method, payload, future, 0)
         return future
+
+    def _send_submitted(
+        self,
+        ref: RemoteRef,
+        method: str,
+        payload: Any,
+        future: RmiFuture,
+        hops: int,
+    ) -> None:
+        # Methods plus one lambda, not closures that call each other:
+        # mutually referencing closures make a reference cycle per call,
+        # which under load outlives the young GC generations and makes
+        # every full collection long.
+        request = Request(
+            object_id=ref.object_id,
+            method=method,
+            payload=payload,
+            caller=self._caller,
+        )
+        self._submit(
+            ref.endpoint_id,
+            request,
+            lambda response, error: self._submitted_done(
+                ref, method, payload, future, hops, response, error
+            ),
+        )
+
+    def _submitted_done(
+        self,
+        ref: RemoteRef,
+        method: str,
+        payload: Any,
+        future: RmiFuture,
+        hops: int,
+        response: Response | None,
+        error: BaseException | None,
+    ) -> None:  # runs on a transport thread; must not block
+        if error is not None:
+            future.set_exception(error)
+            return
+        if response.kind == "redirect":
+            if hops >= self._MAX_REDIRECTS:
+                future.set_exception(ApplicationError(
+                    f"redirect loop invoking {method!r} "
+                    f"(> {self._MAX_REDIRECTS} hops)"
+                ))
+                return
+            self._send_submitted(
+                response.value, method, payload, future, hops + 1
+            )
+            return
+        try:
+            future.set_result(self._interpret_terminal(method, ref, response))
+        except BaseException as exc:  # noqa: BLE001 - relayed to waiter
+            future.set_exception(exc)
 
     def _invoke_deferred(self, method: str, args: tuple, kwargs: dict) -> RmiFuture:
         payload = marshal_call(args, kwargs)
@@ -590,11 +612,11 @@ class Stub:
             if error is not None:
                 future.set_exception(error)
                 return
-            if self._loop_native and response.kind == "redirect":
+            if self._offload and response.kind == "redirect":
                 # Following a redirect re-dispatches through the batcher
-                # and blocks on the hop's result — never on the event
-                # loop (this completer runs there under the loop drain
-                # discipline); the shared async pool carries it.
+                # and blocks on the hop's result — never on the thread
+                # that delivered this batch; the shared async pool
+                # carries it.
                 async_executor().submit(finish, future, response)
                 return
             finish(future, response)

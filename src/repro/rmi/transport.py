@@ -11,6 +11,15 @@ stand-in for one JVM at one IP:port.  Two transports move
   This is the live mode the runnable examples use: real concurrency, real
   blocking semantics.
 
+The concurrent transports (threaded and asyncio) also share one
+completion-driven primitive, ``submit(endpoint_id, request, on_done)``:
+it queues the call and returns at once, and ``on_done(response, error)``
+runs exactly once when the reply, a delivery failure, or the deadline
+arrives — on a transport-owned thread (the endpoint's dispatch worker,
+the deadline watchdog, or the event loop).  ``submit`` never raises.
+Stub ``invoke_async`` rides it, so an in-flight asynchronous call parks
+no thread of its own.
+
 The invoke path is engineered to be contention-free (the fast-path
 invariants DESIGN.md documents):
 
@@ -36,9 +45,11 @@ missing-dispatcher internal error.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Protocol
 
@@ -120,6 +131,11 @@ class BatchResponse:
 RequestHandler = Callable[[Request], Response]
 AsyncRequestHandler = Callable[[Request], Awaitable[Response]]
 
+# Completion callback of a submitted call (or batch): exactly one of
+# (response, error) is non-None.  It runs on a transport-owned thread,
+# so it must not block; anything that would belongs on a pool.
+DoneCallback = Callable[[Any, "BaseException | None"], None]
+
 
 @dataclass
 class Endpoint:
@@ -171,8 +187,21 @@ class Endpoint:
                 self.ahandlers = ahandlers
 
 
+def _down(ep: Endpoint) -> ConnectError:
+    """The retryable error for a dead, killed, or shut-down endpoint."""
+    return ConnectError(f"endpoint {ep.endpoint_id} ({ep.name}) is down")
+
+
 class Transport(Protocol):
-    """Moves requests between endpoints."""
+    """Moves requests between endpoints.
+
+    The concurrent transports add the completion-driven primitive
+    ``submit(endpoint_id, request, on_done)``: it never blocks and never
+    raises, and calls ``on_done(response, error)`` exactly once, with
+    exactly one of the two non-None.  Stubs take that path for
+    ``invoke_async`` wherever a transport has it; the deterministic
+    :class:`DirectTransport` has none and runs calls eagerly instead.
+    """
 
     # True when invocations really block OS threads (the live threaded
     # transport); False for deterministic in-thread delivery.  The
@@ -326,7 +355,7 @@ class _TransportBase:
     ) -> tuple[Endpoint, RequestHandler]:
         ep = self.endpoint(endpoint_id)
         if not ep.alive:
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+            raise _down(ep)
         handler = ep.handlers.get(request.object_id)
         if handler is None:
             raise ConnectError(
@@ -341,7 +370,7 @@ class _TransportBase:
         stale entry cannot fail the whole wire message."""
         ep = self.endpoint(endpoint_id)
         if not ep.alive:
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+            raise _down(ep)
         return ep
 
     def _batch_prologue(
@@ -463,8 +492,113 @@ class _DispatchStats:
         return max(0, self.started.value() - self.finished.value())
 
 
+class _Deadlines:
+    """Per-call deadlines for :meth:`ThreadedTransport.submit`.
+
+    Every call gets the same timeout, so registration order is deadline
+    order: a call appends ``(deadline, token)`` to a deque and parks its
+    completion in ``pending``.  One permanent daemon watchdog walks the
+    deque head and parks on an event while the deque is empty.  The
+    worker with the reply and the watchdog with the timeout both *pop*
+    the call's entry from ``pending`` (atomic in CPython); whoever gets
+    it completes the call, the other drops its outcome.  No thread or
+    timer is created per call.
+    """
+
+    # The watchdog wakes at least this often, pruning finished calls off
+    # the deque head so it stays bounded by the recent call rate rather
+    # than growing for a whole timeout between wakes.
+    PRUNE_INTERVAL_S = 1.0
+
+    def __init__(self, timeout: float) -> None:
+        self._timeout = timeout
+        self._pending: dict[int, tuple[str, DoneCallback]] = {}
+        self._order: deque[tuple[float, int]] = deque()
+        self._tokens = itertools.count()
+        self._wake = threading.Event()
+        threading.Thread(
+            target=self._watch, name="ermi-deadline", daemon=True
+        ).start()
+
+    def watch(self, method: str, on_done: DoneCallback) -> DoneCallback:
+        """Arm one call's deadline; returns its first-wins completer."""
+        token = next(self._tokens)
+        pending = self._pending
+        # ``pending`` before ``order``: the watchdog prunes deque entries
+        # whose token it cannot find.
+        pending[token] = (method, on_done)
+        self._order.append((time.monotonic() + self._timeout, token))
+        # Append, then set if clear: the watchdog clears before it looks
+        # at the deque, so either it sees this entry or it sees the set.
+        wake = self._wake
+        if not wake.is_set():
+            wake.set()
+
+        def finish(response: Any, error: BaseException | None) -> None:
+            if pending.pop(token, None) is not None:
+                on_done(response, error)
+
+        return finish
+
+    def _watch(self) -> None:
+        order, pending, wake = self._order, self._pending, self._wake
+        while True:
+            wake.clear()
+            now = time.monotonic()
+            while order:
+                deadline, token = order[0]
+                if deadline > now and token in pending:
+                    break
+                order.popleft()
+                entry = pending.pop(token, None)
+                if entry is not None:
+                    self._expire(*entry)
+            if order:
+                time.sleep(min(order[0][0] - now, self.PRUNE_INTERVAL_S))
+            else:
+                wake.wait()
+
+    def _expire(self, method: str, on_done: DoneCallback) -> None:
+        try:
+            on_done(None, RemoteError(
+                f"invocation of {method!r} timed out after {self._timeout}s"
+            ))
+        except Exception:  # noqa: BLE001 - the watchdog must survive
+            # A completer that raises is a bug in the caller; report it
+            # the way an uncaught thread exception is, and keep watching.
+            threading.excepthook(threading.ExceptHookArgs(
+                (*sys.exc_info(), threading.current_thread())
+            ))
+
+
+_deadlines_lock = threading.Lock()
+_deadlines_by_timeout: dict[float, _Deadlines] = {}
+
+
+def _deadlines(timeout: float) -> _Deadlines:
+    """The process-wide tracker for one timeout value.
+
+    Transports with the same timeout share one watchdog, so a new
+    transport (every new live runtime) does not pay a thread start on
+    its first call while an earlier one's watchdog is still up.
+    """
+    with _deadlines_lock:
+        tracker = _deadlines_by_timeout.get(timeout)
+        if tracker is None:
+            tracker = _deadlines_by_timeout[timeout] = _Deadlines(timeout)
+        return tracker
+
+
 class ThreadedTransport(_TransportBase):
-    """Live transport: per-endpoint dispatch pools, blocking invocations."""
+    """Live transport: per-endpoint dispatch pools, blocking invocations.
+
+    :meth:`invoke` blocks the caller on the dispatch worker's reply;
+    :meth:`submit` hands the call to the same pool and returns, and the
+    worker completes it.  Both share one prologue and the per-call
+    deadline.  A call still queued when :meth:`kill` stops its endpoint
+    fails with the retryable "endpoint ... is down" :class:`ConnectError`
+    on every path, never with a bare cancellation.
+    """
 
     concurrent = True
 
@@ -475,6 +609,7 @@ class ThreadedTransport(_TransportBase):
         # Read-mostly, like the endpoint map.
         self._executors: dict[str, ThreadPoolExecutor] = {}
         self._dispatch: dict[str, _DispatchStats] = {}
+        self._deadlines = _deadlines(timeout)
 
     def add_endpoint(self, name: str) -> Endpoint:
         ep = super().add_endpoint(name)
@@ -507,21 +642,30 @@ class ThreadedTransport(_TransportBase):
             "workers": self._workers,
         }
 
+    def _executor(self, ep: Endpoint) -> ThreadPoolExecutor:
+        executor = self._executors.get(ep.endpoint_id)
+        if executor is None:
+            # The dispatcher is gone but the endpoint resolved: we raced
+            # a kill()/shutdown().  Surface the same ConnectError a dead
+            # endpoint raises so retry loops treat both identically.
+            raise _down(ep)
+        return executor
+
     def _submit_job(
         self,
         executor: ThreadPoolExecutor,
-        stats: _DispatchStats | None,
         ep: Endpoint,
         job: Callable[[], Any],
-    ):
+    ) -> Future:
         """Submit one dispatch job, tracking pool saturation.
 
         Gauges are refreshed at submit time — the moment queue depth can
         only have grown — so a saturated pool is visible in the metrics
-        timeline even between scrapes.
+        timeline even between scrapes.  A pool that a racing
+        :meth:`kill` shut down after the lookup raises the endpoint's
+        "is down" :class:`ConnectError`.
         """
-        if stats is None:
-            return executor.submit(job)
+        stats = self._dispatch[ep.endpoint_id]
         stats.submitted.increment()
 
         def run() -> Any:
@@ -531,7 +675,12 @@ class ThreadedTransport(_TransportBase):
             finally:
                 stats.finished.increment()
 
-        future = executor.submit(run)
+        try:
+            future = executor.submit(run)
+        except RuntimeError as exc:  # shut down between lookup and submit
+            stats.started.increment()
+            stats.finished.increment()
+            raise _down(ep) from exc
         obs = self._obs
         if obs is not None:
             registry = obs.registry
@@ -543,14 +692,13 @@ class ThreadedTransport(_TransportBase):
             )
         return future
 
-    def invoke(self, endpoint_id: str, request: Request) -> Response:
+    def _prologue(
+        self, endpoint_id: str, request: Request
+    ) -> tuple[Endpoint, RequestHandler, ThreadPoolExecutor]:
+        """Resolve, then the wire bookkeeping shared by :meth:`invoke`
+        and :meth:`submit`: fault hook, ``messages_sent``, trace event."""
         ep, handler = self._resolve(endpoint_id, request)
-        executor = self._executors.get(endpoint_id)
-        if executor is None:
-            # The dispatcher is gone but the endpoint resolved: we raced
-            # a kill()/shutdown().  Surface the same ConnectError a dead
-            # endpoint raises so retry loops treat both identically.
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        executor = self._executor(ep)
         hook = self._fault_hook
         if hook is not None:
             hook(endpoint_id, request)
@@ -561,12 +709,11 @@ class ThreadedTransport(_TransportBase):
                 "transport", "message",
                 endpoint=ep.name, method=request.method, caller=request.caller,
             )
-        future = self._submit_job(
-            executor,
-            self._dispatch.get(endpoint_id),
-            ep,
-            lambda: handler(request),
-        )
+        return ep, handler, executor
+
+    def invoke(self, endpoint_id: str, request: Request) -> Response:
+        ep, handler, executor = self._prologue(endpoint_id, request)
+        future = self._submit_job(executor, ep, lambda: handler(request))
         try:
             return future.result(timeout=self._timeout)
         except TimeoutError as exc:
@@ -574,6 +721,46 @@ class ThreadedTransport(_TransportBase):
                 f"invocation of {request.method!r} timed out after "
                 f"{self._timeout}s"
             ) from exc
+        except CancelledError as exc:  # still queued when kill() ran
+            raise _down(ep) from exc
+
+    def submit(
+        self, endpoint_id: str, request: Request, on_done: DoneCallback
+    ) -> None:
+        """Start one call; ``on_done(response, error)`` runs once.
+
+        Non-blocking and never raises: resolve and fault-hook failures
+        complete the call at once, in the caller's thread.  Otherwise
+        the handler is queued on the endpoint's dispatch pool and the
+        dispatch worker completes the call with its reply; an overrun
+        completes it from the deadline watchdog with the same
+        :class:`RemoteError` :meth:`invoke` raises (the late reply is
+        dropped), and a job :meth:`kill` cancels completes with the
+        endpoint's "is down" :class:`ConnectError`.
+        """
+        try:
+            ep, handler, executor = self._prologue(endpoint_id, request)
+        except Exception as exc:  # noqa: BLE001 - relayed to completer
+            on_done(None, exc)
+            return
+        finish = self._deadlines.watch(request.method, on_done)
+
+        def run() -> None:
+            try:
+                response = handler(request)
+            except BaseException as exc:  # noqa: BLE001 - relayed
+                finish(None, exc)
+            else:
+                finish(response, None)
+
+        def cancelled(job: Future) -> None:
+            if job.cancelled():
+                finish(None, _down(ep))
+
+        try:
+            self._submit_job(executor, ep, run).add_done_callback(cancelled)
+        except ConnectError as exc:
+            finish(None, exc)
 
     def invoke_batch(
         self, endpoint_id: str, batch: BatchRequest
@@ -590,10 +777,7 @@ class ThreadedTransport(_TransportBase):
         would.
         """
         ep = self._resolve_endpoint(endpoint_id)
-        executor = self._executors.get(endpoint_id)
-        if executor is None:
-            # Raced a kill()/shutdown(); same ConnectError as invoke().
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        executor = self._executor(ep)
         self._batch_prologue(endpoint_id, ep, batch)
         requests = batch.entries
         chunk_count = min(self._workers, len(requests))
@@ -608,11 +792,9 @@ class ThreadedTransport(_TransportBase):
         def run_chunk(chunk: tuple[Request, ...]) -> list[Response]:
             return [self._dispatch_entry(ep, request) for request in chunk]
 
-        stats = self._dispatch.get(endpoint_id)
         futures = [
             self._submit_job(
-                executor, stats, ep,
-                lambda chunk=chunk: run_chunk(chunk),
+                executor, ep, lambda chunk=chunk: run_chunk(chunk)
             )
             for chunk in chunks
         ]
@@ -627,6 +809,8 @@ class ThreadedTransport(_TransportBase):
                 f"batch of {len(requests)} invocations timed out after "
                 f"{self._timeout}s"
             ) from exc
+        except CancelledError as exc:  # still queued when kill() ran
+            raise _down(ep) from exc
         return BatchResponse(entries=tuple(responses))
 
     def kill(self, endpoint_id: str) -> None:

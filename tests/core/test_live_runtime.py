@@ -6,6 +6,7 @@ concurrent clients.  Kept short in wall time (sub-second bursts).
 """
 
 import threading
+import time
 
 import pytest
 
@@ -194,3 +195,117 @@ class TestAsyncioLiveMode:
         victim = pool.active_members()[1]
         aio_live.transport.kill(victim.endpoint_id)
         assert stub.get("after-failure") == "AFTER-FAILURE"
+
+
+# Opened by each test that parks GatedService calls; module-level so
+# every pool member shares it.
+_gate = threading.Event()
+
+
+class GatedService(ElasticObject):
+    """A fixed pool of two whose calls park until the test opens ``_gate``."""
+
+    def __init__(self):
+        super().__init__()
+        self.set_min_pool_size(2)
+        self.set_max_pool_size(2)
+
+    def hold(self, n):
+        _gate.wait(5.0)
+        return n
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestCompletionDrivenInvokeAsync:
+    def test_inflight_calls_park_no_async_pool_thread(self, live, monkeypatch):
+        """More calls than the async pool has workers, all blocked at
+        the members: the futures complete from the dispatch workers and
+        the ``ermi-async`` pool runs none of them."""
+        from repro.core import balancer
+        from repro.rmi.future import ASYNC_WORKERS, gather
+
+        offloaded = []
+        real = balancer.async_executor
+
+        def counting():
+            offloaded.append(threading.current_thread().name)
+            return real()
+
+        monkeypatch.setattr(balancer, "async_executor", counting)
+        _gate.clear()
+        completed_on = []
+        try:
+            live.new_pool(GatedService)
+            stub = live.stub("GatedService")
+            calls = ASYNC_WORKERS + 8
+            futures = [stub.invoke_async("hold", i) for i in range(calls)]
+            assert not any(f.done() for f in futures)
+            for future in futures:
+                future.add_done_callback(
+                    lambda f: completed_on.append(
+                        threading.current_thread().name
+                    )
+                )
+        finally:
+            _gate.set()
+        assert gather(futures, timeout=10.0) == list(range(calls))
+        assert offloaded == []
+        assert len(completed_on) == calls
+        assert not any(name.startswith("ermi-async") for name in completed_on)
+
+    def test_killed_member_with_queued_calls_is_masked(self):
+        """A member killed while calls wait in its dispatch queue: the
+        queued calls fail over with a retryable ConnectError, so every
+        logical call still succeeds."""
+        from repro.rmi import ThreadedTransport, gather
+
+        runtime = ElasticRuntime.local(
+            nodes=4, transport=ThreadedTransport(workers_per_endpoint=1)
+        )
+        _gate.clear()
+        try:
+            pool = runtime.new_pool(GatedService)
+            stub = runtime.stub("GatedService")
+            stub.invoke_async("hold", -1)  # bootstrap membership
+            victim = pool.active_members()[1].endpoint_id
+            stats = runtime.transport.dispatch_stats
+            _gate.set()
+            wait_until(lambda: stats(victim)["busy"] == 0)
+            _gate.clear()
+            futures = [stub.invoke_async("hold", i) for i in range(8)]
+            # One call runs on the victim's single worker, three queue.
+            wait_until(lambda: stats(victim)["queued"] == 3)
+            runtime.transport.kill(victim)
+            _gate.set()
+            assert gather(futures, timeout=10.0) == list(range(8))
+        finally:
+            _gate.set()
+            runtime.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["threaded", "asyncio"])
+def test_invoke_async_never_raises_before_the_sentinel_binds(kind):
+    """A bootstrap error outside the retryable family (here
+    ``NotBoundError``) fails the returned future instead of escaping
+    ``invoke_async`` on the caller's thread."""
+    from repro.core.balancer import ElasticStub
+    from repro.core.runtime import transport_from_env
+    from repro.errors import NotBoundError
+
+    def unbound():
+        raise NotBoundError("sentinel not bound yet")
+
+    transport = transport_from_env(kind)
+    try:
+        future = ElasticStub(transport, unbound).invoke_async("get", "k")
+        with pytest.raises(NotBoundError, match="not bound"):
+            future.result(timeout=5.0)
+    finally:
+        transport.shutdown()
+

@@ -8,7 +8,6 @@ from repro.rmi.future import (
     InvocationTimeout,
     RmiFuture,
     gather,
-    run_async,
 )
 
 
@@ -143,15 +142,3 @@ class TestGather:
         bad = RmiFuture.failed(RuntimeError("nope"))
         with pytest.raises(RuntimeError, match="nope"):
             gather([ok, bad])
-
-
-class TestRunAsync:
-    def test_run_async_result(self):
-        assert run_async(lambda: 6 * 7).result(timeout=5.0) == 42
-
-    def test_run_async_relays_exception(self):
-        def boom():
-            raise KeyError("missing")
-
-        future = run_async(boom)
-        assert isinstance(future.exception(timeout=5.0), KeyError)
